@@ -15,16 +15,6 @@ pub struct ColumnQuality {
     pub name: String,
     /// Cells whose numeric value was `NaN` or `±inf`, stored as null.
     pub non_finite: u64,
-    /// Cells the inference pass called numeric but that failed to parse on
-    /// the value pass (writer-bug symptom; stored as null).
-    pub malformed: u64,
-}
-
-impl ColumnQuality {
-    /// Total quarantined cells in this column.
-    pub fn total(&self) -> u64 {
-        self.non_finite + self.malformed
-    }
 }
 
 /// What ingestion quarantined, per column and per row.
@@ -35,7 +25,8 @@ impl ColumnQuality {
 /// `CsvOptions::quarantine_malformed_rows`) unparseable rows were dropped.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DataQualityReport {
-    /// Columns that had at least one quarantined cell.
+    /// Columns that had at least one quarantined cell, in row-major order
+    /// of each column's first quarantined cell.
     pub columns: Vec<ColumnQuality>,
     /// Malformed rows dropped (ragged or bad quoting); always zero unless
     /// row quarantine was opted into.
@@ -57,28 +48,7 @@ impl DataQualityReport {
 
     /// Total quarantined cells across all columns.
     pub fn cells_quarantined(&self) -> u64 {
-        self.columns.iter().map(ColumnQuality::total).sum()
-    }
-
-    /// Records a quarantined cell in `column`.
-    pub(crate) fn count_cell(&mut self, column: &str, malformed: bool) {
-        let idx = match self.columns.iter().position(|c| c.name == column) {
-            Some(idx) => idx,
-            None => {
-                self.columns.push(ColumnQuality {
-                    name: column.to_string(),
-                    non_finite: 0,
-                    malformed: 0,
-                });
-                self.columns.len() - 1
-            }
-        };
-        let entry = &mut self.columns[idx];
-        if malformed {
-            entry.malformed += 1;
-        } else {
-            entry.non_finite += 1;
-        }
+        self.columns.iter().map(|c| c.non_finite).sum()
     }
 
     /// Records a dropped row at 1-based file `line`.
@@ -99,7 +69,7 @@ impl DataQualityReport {
             let cols: Vec<String> = self
                 .columns
                 .iter()
-                .map(|c| format!("{}×{}", c.total(), c.name))
+                .map(|c| format!("{}×{}", c.non_finite, c.name))
                 .collect();
             parts.push(format!(
                 "{} non-finite/malformed cell(s) nulled ({})",
@@ -131,19 +101,18 @@ mod tests {
 
     #[test]
     fn cell_counts_aggregate_per_column() {
-        let mut r = DataQualityReport::default();
-        r.count_cell("x", false);
-        r.count_cell("x", false);
-        r.count_cell("x", true);
-        r.count_cell("y", false);
+        let column = |name: &str, non_finite| ColumnQuality {
+            name: name.to_string(),
+            non_finite,
+        };
+        let r = DataQualityReport {
+            columns: vec![column("x", 3), column("y", 1)],
+            ..DataQualityReport::default()
+        };
         assert!(!r.is_clean());
         assert_eq!(r.cells_quarantined(), 4);
-        assert_eq!(r.columns.len(), 2);
-        assert_eq!(r.columns[0].name, "x");
-        assert_eq!(r.columns[0].non_finite, 2);
-        assert_eq!(r.columns[0].malformed, 1);
         let s = r.summary().unwrap();
-        assert!(s.contains("3×x") && s.contains("1×y"), "{s}");
+        assert_eq!(s, "4 non-finite/malformed cell(s) nulled (3×x, 1×y)");
     }
 
     #[test]

@@ -1203,11 +1203,6 @@ fn job_append(shared: &Arc<Shared>, stream: &mut TcpStream, job_id: &str, body: 
         respond_error(stream, 400, "Bad Request", "body is not UTF-8");
         return;
     };
-    let rows: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    if rows.is_empty() {
-        respond_error(stream, 400, "Bad Request", "no rows in body");
-        return;
-    }
     // Snapshot the job under the registry lock; hold nothing across I/O.
     let Some((separator, ingest)) = ({
         let registry = shared.lock_registry();
@@ -1218,9 +1213,11 @@ fn job_append(shared: &Arc<Shared>, stream: &mut TcpStream, job_id: &str, body: 
         respond_error(stream, 404, "Not Found", "unknown job");
         return;
     };
-    // Schema check against the admitted dataset's header: every appended
-    // row must carry exactly the admitted column count. Rejecting the batch
-    // here keeps the WAL free of rows the loader would quarantine later.
+    // Schema check against the admitted dataset's header: the body is split
+    // into records by the loader's own tokenizer, and every record must
+    // carry exactly the admitted column count. A row is acked only if the
+    // re-mine will parse it as one record of the dataset's width, so the
+    // WAL never holds a row that fails or skews the load later.
     let dir = shared.job_dir(job_id);
     let fields = match expected_fields(&dir, separator) {
         Ok(n) => n,
@@ -1229,17 +1226,25 @@ fn job_append(shared: &Arc<Shared>, stream: &mut TcpStream, job_id: &str, body: 
             return;
         }
     };
-    for (i, row) in rows.iter().enumerate() {
-        let got = row.split(separator).count();
-        if got != fields {
-            respond_error(
-                stream,
-                400,
-                "Bad Request",
-                &format!("row {i} has {got} field(s), dataset has {fields}"),
-            );
-            return;
-        }
+    let mut rows: Vec<&str> = Vec::new();
+    for (i, record) in hdx_data::csv_records(text, separator).enumerate() {
+        let message = match record {
+            Ok(record) if record.fields == fields => {
+                rows.push(record.text);
+                continue;
+            }
+            Ok(record) => format!(
+                "row {i} has {} field(s), dataset has {fields}",
+                record.fields
+            ),
+            Err(e) => format!("row {i}: {e}"),
+        };
+        respond_error(stream, 400, "Bad Request", &message);
+        return;
+    }
+    if rows.is_empty() {
+        respond_error(stream, 400, "Bad Request", "no rows in body");
+        return;
     }
     // Backpressure: durable-but-unfolded rows are bounded. 429 is the
     // degrade-not-die answer — the WAL never grows past what re-mining can
@@ -1346,14 +1351,24 @@ fn job_append(shared: &Arc<Shared>, stream: &mut TcpStream, job_id: &str, body: 
     respond_json(stream, 202, "Accepted", &body);
 }
 
-/// Column count of the admitted dataset (from its header line).
+/// Column count of the admitted dataset: the width of its header record,
+/// read line by line until the loader's tokenizer sees a whole record (a
+/// quoted header field may span lines).
 fn expected_fields(dir: &std::path::Path, separator: char) -> Result<usize, String> {
     let data = std::fs::File::open(dir.join(DATA_FILE))
         .map_err(|e| format!("cannot open dataset: {e}"))?;
+    let mut reader = std::io::BufReader::new(data);
     let mut header = String::new();
-    std::io::BufRead::read_line(&mut std::io::BufReader::new(data), &mut header)
-        .map_err(|e| format!("cannot read dataset header: {e}"))?;
-    Ok(header.trim_end().split(separator).count())
+    loop {
+        let read = std::io::BufRead::read_line(&mut reader, &mut header)
+            .map_err(|e| format!("cannot read dataset header: {e}"))?;
+        match hdx_data::csv_records(&header, separator).next() {
+            Some(Ok(record)) => return Ok(record.fields),
+            Some(Err(e)) if read == 0 => return Err(format!("bad dataset header: {e}")),
+            None if read == 0 => return Err("dataset has no header".to_string()),
+            _ => {}
+        }
+    }
 }
 
 /// Opens (healing), appends, and commits one batch into a job's WAL.

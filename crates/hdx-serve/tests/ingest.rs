@@ -302,6 +302,44 @@ fn malformed_appends_are_rejected_before_the_wal() {
     let _ = std::fs::remove_dir_all(&state);
 }
 
+/// Append validation splits the body with the loader's own tokenizer, so a
+/// row is acked iff the re-mine will read it as one record of the
+/// dataset's width: a quoted separator is one field, a quoted line break
+/// stays inside its record, and an unterminated quote is refused with a 400
+/// instead of being acked into a WAL that no re-mine can load.
+#[test]
+fn appends_are_validated_with_the_loader_tokenizer() {
+    let state = tmp_state_dir("quoted");
+    let (addr, handle) = start(config(state.clone()));
+    let accepted = http(addr, "POST", "/jobs", &submission(&sample_csv(50), "acme"));
+    assert_eq!(accepted.status, 202, "{}", accepted.body);
+    let job_id = extract_job_id(&accepted.body);
+    assert_eq!(await_terminal(addr, &job_id), "done");
+    let append = format!("/jobs/{job_id}/append");
+
+    let quoted = http(addr, "POST", &append, "1,0,11,42,\"Other, mixed\"\n");
+    assert_eq!(quoted.status, 202, "{}", quoted.body);
+    let open = http(addr, "POST", &append, "1,0,11,42,\"Other\n1,0,3,4,a\n");
+    assert_eq!(open.status, 400, "{}", open.body);
+    assert!(
+        open.body.contains("unterminated quoted field"),
+        "{}",
+        open.body
+    );
+    let multi_line = http(addr, "POST", &append, "0,1,5,7,\"two\r\nlines\"\r\n");
+    assert_eq!(multi_line.status, 202, "{}", multi_line.body);
+    assert_eq!(json_u64_field(&multi_line.body, "durable_rows"), 2);
+
+    assert_eq!(await_folded(addr, &job_id), "done");
+    let status = http(addr, "GET", &format!("/jobs/{job_id}"), "");
+    assert_eq!(json_u64_field(&status.body, "durable_rows"), 2);
+    assert_eq!(json_u64_field(&status.body, "folded_rows"), 2);
+    assert_eq!(json_u64_field(&status.body, "pending_rows"), 0);
+    assert_eq!(http(addr, "POST", "/shutdown", "").status, 202);
+    handle.join().expect("drain");
+    let _ = std::fs::remove_dir_all(&state);
+}
+
 /// Degrade-not-die: a torn frame at the WAL tail (the bytes a `kill -9`
 /// mid-append leaves behind) is quarantined at the next recovery — the job
 /// still re-mines the durable prefix and the status document reports the
